@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke ci
+.PHONY: all build vet test race loc bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke ci
 
 # Seconds of fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 30s
@@ -38,6 +38,12 @@ test:
 # concurrent prover, cache, and checker paths.
 race:
 	$(GO) test -race ./...
+
+# loc prints the number of non-test Go source lines outside perfbench/ (and
+# hidden directories such as the benchmark's build cache): the size the
+# design-quality aim asks each change to keep flat or shrink.
+loc:
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # bench reruns the recorded prover benchmark suite with fixed -benchtime and
 # -count and rewrites BENCH_prover.json, the committed performance record,

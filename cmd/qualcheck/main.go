@@ -19,7 +19,10 @@
 // restarted after a crash) starts warm instead of re-walking every
 // function. Corrupt or torn records are detected, evicted, and re-proved —
 // never trusted. -cache-budget bounds the directory's size in bytes; the
-// least recently used records are evicted past it.
+// least recently used records are evicted past it. With -r, -stats and
+// -cache-stats label each function-cache line by scope: "function cache
+// (run)" counts the whole run (hits from any tier), "function cache
+// (memory)" the in-memory tier alone, and "disk cache" the disk store.
 //
 // With -watch, qualcheck becomes a resident incremental checker: one full
 // tree pass, then re-checking only what changes, pushing diagnostics as
@@ -92,7 +95,7 @@ func main() {
 	maxFiles := flag.Int("max-files", 0, "with -r/-watch: stop the walk after this many files (0 = unlimited)")
 	cacheDir := flag.String("cache-dir", "", "with -r/-watch: persist the function cache under this directory so later runs start warm")
 	cacheBudget := flag.Int64("cache-budget", 0, "with -cache-dir: total record bytes kept on disk before LRU eviction (0 = default 256 MiB)")
-	cacheStats := flag.Bool("cache-stats", false, "print derivation-memo cache statistics after checking")
+	cacheStats := flag.Bool("cache-stats", false, "print cache statistics after checking: the derivation memo, or with -r the function cache's memory and disk tiers")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the check; 0 means unlimited")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -279,8 +282,8 @@ func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow
 	}
 	if cacheStats {
 		st := fc.Stats()
-		fmt.Printf("function cache: %d hits, %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
-			st.Hits, st.Misses, st.Coalesced, st.Evictions, 100*st.HitRate())
+		fmt.Printf("function cache (memory): %d hits, %d misses, %d coalesced, %d evictions, %d rejected (%.1f%% hit rate)\n",
+			st.Hits, st.Misses, st.Coalesced, st.Evictions, st.Rejected, 100*st.HitRate())
 		if cacheDir != "" {
 			ds := fc.DiskStats()
 			fmt.Printf("disk cache: %d hits, %d misses, %d puts, %d entries, %d bytes, %d corrupt evicted, %d budget evicted\n",
@@ -319,7 +322,7 @@ func printTreeStats(res *checker.TreeResult) {
 		res.Read.Files, res.Read.Bytes, res.Read.Reuses, res.Read.Grows)
 	fmt.Printf("dereferences: %d\n", res.Stats.Dereferences)
 	fmt.Printf("restrict checks: %d (%d failed)\n", res.Stats.RestrictChecks, res.Stats.RestrictFailures)
-	fmt.Printf("function cache: %d hits, %d misses, %d coalesced\n",
+	fmt.Printf("function cache (run): %d hits, %d misses, %d coalesced\n",
 		res.Stats.FuncCacheHits, res.Stats.FuncCacheMisses, res.Stats.FuncCacheCoalesced)
 }
 

@@ -1,20 +1,17 @@
 package checker
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/cachedisk"
 	"repro/internal/cminor"
 	"repro/internal/faults"
 	"repro/internal/qdl"
+	"repro/internal/tiercache"
 )
 
 // This file implements content-addressed, function-granular result caching:
@@ -41,83 +38,22 @@ import (
 // DefaultFuncCacheCapacity bounds a cache created with capacity <= 0.
 const DefaultFuncCacheCapacity = 8192
 
-// FuncCacheStats is a snapshot of a function cache's counters.
-type FuncCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// Rejected counts entries dropped at lookup because their content seal no
-	// longer matched (the function is re-walked and the entry re-stored) —
-	// whether the entry came from memory or from a disk record whose payload
-	// failed to decode or re-seal.
-	Rejected uint64 `json:"rejected"`
-	// Coalesced counts lookups that joined another caller's in-progress walk
-	// of the same key and shared its result (singleflight): of N concurrent
-	// identical submissions, one is a Miss (the fill) and N-1 are Coalesced.
-	Coalesced uint64 `json:"coalesced"`
-	// DiskHits counts leader fills served from the disk tier; PeerHits
-	// counts fills served (and seal-verified) from a cache peer; PeerRejects
-	// counts peer records refused by verification. All stay zero unless the
-	// corresponding tier is attached (persist.go).
-	DiskHits    uint64 `json:"disk_hits"`
-	PeerHits    uint64 `json:"peer_hits"`
-	PeerRejects uint64 `json:"peer_rejects"`
-}
+// FuncCacheStats is a snapshot of a function cache's counters (see
+// tiercache.Stats).
+type FuncCacheStats = tiercache.Stats
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s FuncCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// FuncCache is a thread-safe LRU cache of per-function checking results.
+// FuncCache is a thread-safe tiered cache of per-function checking results
+// (memory LRU, optional disk and peer tiers; see persist.go for the codec).
 // Share one across CheckWithCache calls (and across programs — the context
 // key isolates unrelated programs and registries) to make repeated checks of
 // mostly-unchanged sources cheap. Concurrent lookups of one uncached key
 // coalesce: the first caller walks while the rest wait for its result.
 type FuncCache struct {
-	mu       sync.Mutex
-	capacity int
-	lru      *list.List // of *funcCacheEntry; front is most recently used
-	entries  map[string]*list.Element
-	flights  map[string]*flight
-
-	// Counters are atomics, not fields mutated under mu: the coalescing path
-	// bumps Coalesced outside the map lock, and concurrent tree checking
-	// hammers all of them from every worker — read-modify-write under a
-	// sometimes-different lock would undercount.
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	rejected  atomic.Uint64
-	coalesced atomic.Uint64
-
-	diskHits    atomic.Uint64
-	peerHits    atomic.Uint64
-	peerRejects atomic.Uint64
-
-	// Optional external tiers, attached before concurrent use and immutable
-	// after (WithDisk / WithPeerFetch in persist.go).
-	disk      *cachedisk.Store
-	peerFetch PeerFetch
-}
-
-// flight is one in-progress fill: the leader walks the function while waiters
-// block on done and share the entry. entry is written before done closes
-// (and only then read), so the channel close publishes it; nil means the walk
-// produced a result that was not safely replayable, and waiters walk
-// themselves.
-type flight struct {
-	done  chan struct{}
-	entry *funcCacheEntry
+	*tiercache.Cache[*funcCacheEntry]
 }
 
 // funcCacheEntry is the replayable outcome of walking one function body.
 type funcCacheEntry struct {
-	key   string
 	diags []relDiag
 	// The statistic deltas a body walk contributes (the program-level
 	// counters — dereferences, annotations, ref uses — are recomputed by the
@@ -127,10 +63,9 @@ type funcCacheEntry struct {
 	memoHits         int
 	memoMisses       int
 	// seal is a content checksum over the replayable payload above,
-	// computed at put and re-verified at get: a corrupted entry (bit rot, a
-	// bad peer in a future distributed cache) is rejected and re-walked
-	// instead of replayed — the same integrity discipline as the prover's
-	// certificate replay-on-fetch, scaled to the checker's cheaper unit.
+	// computed when the entry is built and re-verified on every memory hit
+	// and disk or peer load: a corrupted entry is rejected and re-walked
+	// instead of replayed.
 	seal uint64
 }
 
@@ -160,33 +95,7 @@ func NewFuncCache(capacity int) *FuncCache {
 	if capacity <= 0 {
 		capacity = DefaultFuncCacheCapacity
 	}
-	return &FuncCache{
-		capacity: capacity,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
-		flights:  map[string]*flight{},
-	}
-}
-
-// Stats returns a snapshot of the hit/miss/eviction counters.
-func (c *FuncCache) Stats() FuncCacheStats {
-	return FuncCacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Rejected:    c.rejected.Load(),
-		Coalesced:   c.coalesced.Load(),
-		DiskHits:    c.diskHits.Load(),
-		PeerHits:    c.peerHits.Load(),
-		PeerRejects: c.peerRejects.Load(),
-	}
-}
-
-// Len returns the number of cached function results.
-func (c *FuncCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return &FuncCache{tiercache.New(capacity, funcEntryCodec)}
 }
 
 // fpCacheReplay injects faults into the cache-replay path (see
@@ -197,107 +106,13 @@ var fpCacheReplay = faults.Register("checker.cache.replay")
 // cache lock, without touching recency or the counters. Chaos tests use it to
 // assert that no transient ("internal") result was ever stored.
 func (c *FuncCache) ForEach(fn func(key string, diagCodes []string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*funcCacheEntry)
+	c.Cache.ForEach(func(key string, e *funcCacheEntry) {
 		codes := make([]string, len(e.diags))
 		for i, d := range e.diags {
 			codes[i] = d.code
 		}
-		fn(e.key, codes)
-	}
-}
-
-// beginLookup is the coalescing cache probe. Exactly one of three outcomes:
-//
-//   - hit: entry != nil — replay it (fl is nil);
-//   - leader: entry == nil, leader == true — the caller owns the fill: walk
-//     the function, then call endFlight with the outcome (mandatory, even on
-//     failure, or waiters hang);
-//   - waiter: entry == nil, leader == false — another caller is already
-//     walking this key; wait on fl.done and share fl.entry.
-//
-// A sealed-but-corrupted entry is dropped (Rejected) and the probe falls
-// through to the flight map, so the re-walk is coalesced too.
-func (c *FuncCache) beginLookup(key string) (entry *funcCacheEntry, fl *flight, leader bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*funcCacheEntry)
-		if sealEntry(e) == e.seal {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return e, nil, false
-		}
-		// Content seal mismatch: drop the corrupted entry so the function is
-		// re-walked and the entry re-stored.
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-		c.rejected.Add(1)
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		return nil, fl, false
-	}
-	fl = &flight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, fl, true
-}
-
-// endFlight publishes the leader's outcome: stores the entry (when
-// replayable), persists it to the disk tier, retires the flight, and
-// releases the waiters. The entry is cached before the flight is removed, so
-// a prober never finds the key in neither place while a fill exists.
-func (c *FuncCache) endFlight(key string, fl *flight, entry *funcCacheEntry) {
-	if entry != nil {
-		c.put(key, entry)
-		c.persist(key, entry)
-	}
-	c.retireFlight(key, fl, entry)
-}
-
-// endFlightLoaded releases a flight whose entry came from the disk or peer
-// tier: externalLookup already admitted it to memory (and, for peer fetches,
-// wrote it through to disk), so only the flight bookkeeping remains.
-func (c *FuncCache) endFlightLoaded(key string, fl *flight, entry *funcCacheEntry) {
-	c.retireFlight(key, fl, entry)
-}
-
-func (c *FuncCache) retireFlight(key string, fl *flight, entry *funcCacheEntry) {
-	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	fl.entry = entry
-	close(fl.done)
-}
-
-// put stores entry under key, evicting the least recently used entry when
-// full. Storing an already-present key refreshes its value and recency
-// without counting an eviction.
-func (c *FuncCache) put(key string, entry *funcCacheEntry) {
-	entry.key = key
-	entry.seal = sealEntry(entry)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value = entry
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.capacity {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			break
-		}
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*funcCacheEntry).key)
-		c.evictions.Add(1)
-	}
-	c.entries[key] = c.lru.PushFront(entry)
+		fn(key, codes)
+	})
 }
 
 // funcKey is the full cache key for one function under one context.
@@ -382,7 +197,7 @@ func hasFreshAssign(d *qdl.Def) bool {
 // populating the function cache. The receiver must be a freshly created
 // child (empty diagnostics and zero stats), so its whole post-walk state is
 // exactly the function's contribution. Concurrent calls on one key coalesce
-// to a single walk (see beginLookup).
+// to a single walk (see tiercache.Cache.Lookup).
 func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	if en.fc == nil {
 		en.safeCheckFunc(f)
@@ -399,30 +214,20 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 		return
 	}
 	key := funcKey(en.ctxKey, f)
-	entry, fl, leader := en.fc.beginLookup(key)
-	if entry != nil {
+	entry, ok, fl, leader := en.fc.Lookup(key)
+	if ok {
 		en.stats.FuncCacheHits++
 		en.replayEntry(entry, f)
 		return
 	}
 	if leader {
-		// Before paying for a walk, probe the external tiers (disk, then
-		// peers). Doing this on the leader path keeps the singleflight
-		// property: concurrent lookups of one key cost one disk read or one
-		// peer fetch, not N.
-		if ext := en.fc.externalLookup(key); ext != nil {
-			en.stats.FuncCacheHits++
-			en.replayEntry(ext, f)
-			en.fc.endFlightLoaded(key, fl, ext)
-			return
-		}
+		// Lookup already probed the external tiers (disk, then peers) on the
+		// leader path, so concurrent lookups of one key cost one disk read or
+		// one peer fetch, not N.
 		en.stats.FuncCacheMisses++
 		en.safeCheckFunc(f)
 		stored, ok := en.entryFromWalk(f)
-		if !ok {
-			stored = nil
-		}
-		en.fc.endFlight(key, fl, stored)
+		en.fc.Finish(key, fl, stored, ok)
 		return
 	}
 	// Waiter: another caller is walking this exact function under this exact
@@ -434,13 +239,13 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 		done = en.ctx.Done()
 	}
 	select {
-	case <-fl.done:
+	case <-fl.Done():
 	case <-done:
 		return
 	}
-	if fl.entry != nil {
+	if shared, ok := fl.Result(); ok {
 		en.stats.FuncCacheCoalesced++
-		en.replayEntry(fl.entry, f)
+		en.replayEntry(shared, f)
 		return
 	}
 	// The leader's walk was not replayable (transient "internal" outcome);
@@ -492,5 +297,6 @@ func (en *engine) entryFromWalk(f *cminor.FuncDef) (*funcCacheEntry, bool) {
 			msg:     d.Msg,
 		})
 	}
+	entry.seal = sealEntry(entry)
 	return entry, true
 }

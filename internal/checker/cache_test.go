@@ -250,16 +250,13 @@ func TestFuncCacheSealRejectsCorruption(t *testing.T) {
 	}
 
 	// Corrupt one non-empty entry's payload behind the seal's back.
-	fc.mu.Lock()
 	corrupted := 0
-	for el := fc.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*funcCacheEntry)
+	fc.Cache.ForEach(func(_ string, e *funcCacheEntry) {
 		if len(e.diags) > 0 && corrupted == 0 {
 			e.diags[0].msg = "tampered"
 			corrupted++
 		}
-	}
-	fc.mu.Unlock()
+	})
 	if corrupted != 1 {
 		t.Fatalf("corrupted %d entries, want 1", corrupted)
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/quals"
 	"repro/internal/simplify"
 	"repro/internal/soundness"
+	"repro/internal/tiercache"
 )
 
 // Fault-injection points for the request path, one per handler stage (see
@@ -972,10 +973,10 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 // ---- GET /metrics, GET /healthz ----
 
 // CacheSnapshot is the exported view of one cache's counters. Rejected
-// counts entries evicted by an integrity check on fetch (the function
-// cache's content seal); Coalesced counts lookups that joined another
-// request's in-flight fill instead of duplicating the work (the function
-// cache's singleflight). Both stay zero for caches without those paths.
+// counts entries dropped by an integrity check (the function cache's
+// content seal, the prover cache's certificate replay, an undecodable disk
+// record); Coalesced counts lookups that joined another request's in-flight
+// fill instead of duplicating the work (the function cache's singleflight).
 type CacheSnapshot struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
@@ -992,6 +993,16 @@ type CacheSnapshot struct {
 	DiskHits    uint64 `json:"disk_hits,omitempty"`
 	PeerHits    uint64 `json:"peer_hits,omitempty"`
 	PeerRejects uint64 `json:"peer_rejects,omitempty"`
+}
+
+// cacheSnapshot is the /metrics view of one tiered cache.
+func cacheSnapshot(st tiercache.Stats, n int) CacheSnapshot {
+	return CacheSnapshot{
+		Hits: st.Hits, Misses: st.Misses, Coalesced: st.Coalesced,
+		Evictions: st.Evictions, Rejected: st.Rejected,
+		HitRate: st.HitRate(), Len: n,
+		DiskHits: st.DiskHits, PeerHits: st.PeerHits, PeerRejects: st.PeerRejects,
+	}
 }
 
 // DiskSnapshot is the durable-cache section of GET /metrics: one
@@ -1047,8 +1058,6 @@ type MetricsResponse struct {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	fc := s.funcCache.Stats()
-	pc := s.proverCache.Stats()
 	pf := simplify.GlobalPrefilterCounters()
 	lc := simplify.GlobalLemmaCounters()
 	ls := s.proverCache.LemmaStats()
@@ -1070,17 +1079,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:    len(s.jobs),
 		QueueCapacity: cap(s.jobs),
 		Draining:      s.draining.Load(),
-		FuncCache: CacheSnapshot{
-			Hits: fc.Hits, Misses: fc.Misses, Coalesced: fc.Coalesced,
-			Evictions: fc.Evictions, Rejected: fc.Rejected,
-			HitRate: fc.HitRate(), Len: s.funcCache.Len(),
-			DiskHits: fc.DiskHits, PeerHits: fc.PeerHits, PeerRejects: fc.PeerRejects,
-		},
-		ProverCache: CacheSnapshot{
-			Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
-			HitRate: pc.HitRate(), Len: s.proverCache.Len(),
-			DiskHits: pc.DiskHits, PeerHits: pc.PeerHits, PeerRejects: pc.PeerRejects,
-		},
+		FuncCache:     cacheSnapshot(s.funcCache.Stats(), s.funcCache.Len()),
+		ProverCache:   cacheSnapshot(s.proverCache.Stats(), s.proverCache.Len()),
 		Prefilter: PrefilterSnapshot{
 			Attempts: pf.Attempts, Ground: pf.Ground, Unit: pf.Unit,
 			Interval: pf.Interval, Discharged: pf.Discharged(), HitRate: pf.HitRate(),

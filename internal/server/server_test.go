@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,42 @@ func TestMetricsAndHealthz(t *testing.T) {
 	if m.Lemmas.Pools == 0 {
 		t.Errorf("lemma pool state not surfaced: %+v", m.Lemmas)
 	}
+}
+
+// TestMetricsCacheShape pins the external shape of the cache counters in
+// GET /metrics under the default configuration: the JSON keys of func_cache
+// and prover_cache after a check and a prove (zero-valued optional counters
+// stay omitted).
+func TestMetricsCacheShape(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/check", CheckRequest{Source: "void f() { int x = 1; }"}, nil)
+	if code := postJSON(t, ts.URL+"/prove", ProveRequest{Qualifier: "pos"}, nil); code != http.StatusOK {
+		t.Fatalf("prove: status %d, want 200", code)
+	}
+	var m map[string]json.RawMessage
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("metrics: status %d, want 200", code)
+	}
+	const want = "evictions hit_rate hits len misses"
+	for _, section := range []string{"func_cache", "prover_cache"} {
+		var fields map[string]any
+		if err := json.Unmarshal(m[section], &fields); err != nil {
+			t.Fatalf("%s: %v", section, err)
+		}
+		if got := sortedKeys(fields); got != want {
+			t.Errorf("%s keys = %q, want %q", section, got, want)
+		}
+	}
+}
+
+// sortedKeys joins a JSON object's keys in sorted order.
+func sortedKeys(obj map[string]any) string {
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 // TestProveCertificatesAndMetrics runs /prove on a server configured with

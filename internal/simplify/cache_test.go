@@ -97,23 +97,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache(2)
-	p := New(nil, DefaultOptions()).WithCache(c)
-	pGoal := mustParse(t, "(OR p (NOT p))")
-	qGoal := mustParse(t, "(OR q (NOT q))")
-	p.Prove(pGoal)
-	p.Prove(qGoal)
-	p.Prove(pGoal)                          // touch p: q is now least recently used
-	p.Prove(mustParse(t, "(OR r (NOT r))")) // evicts q
-	if out := p.Prove(pGoal); !out.CacheHit {
-		t.Error("recently used entry was evicted")
-	}
-	if out := p.Prove(qGoal); out.CacheHit {
-		t.Error("least recently used entry survived eviction")
-	}
-}
-
 // TestProveConcurrentSharedCache exercises concurrent Prove calls on one
 // prover and one cache (run under -race) and checks the verdicts match a
 // serial, uncached prover's.

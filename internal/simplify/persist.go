@@ -5,16 +5,24 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cachedisk"
 	"repro/internal/cert"
+	"repro/internal/tiercache"
 )
+
+// outcomeCodec is the prover namespace's tiercache codec: the QPV payload
+// format, plus certificate replay as the admission check for peer records.
+var outcomeCodec = tiercache.Codec[Outcome]{
+	Encode:    encodeOutcome,
+	Decode:    decodeOutcome,
+	AdmitPeer: admitPeerOutcome,
+}
 
 // Payload format for a persisted prover outcome. This is the *inner* codec:
 // cachedisk's Seal/Unseal frame it with the key, a checksum, and the record
 // version, so by the time decodeOutcome sees bytes they are checksum-clean —
 // its own magic/version exists so the payload layout can evolve
 // independently of the record framing. A stale or undecodable payload is
-// evicted at the disk layer (Store.Delete), never guessed at.
+// evicted at the disk layer, never guessed at.
 const (
 	outcomeMagic   = "QPV"
 	outcomeVersion = byte(1)
@@ -37,12 +45,12 @@ func encodeOutcome(out Outcome) []byte {
 	b = binary.AppendUvarint(b, uint64(out.Instances))
 	b = binary.AppendUvarint(b, uint64(out.GroundClauses))
 	b = binary.AppendUvarint(b, uint64(out.Decisions))
-	b = appendString(b, out.Reason)
+	b = tiercache.AppendString(b, out.Reason)
 	b = binary.AppendUvarint(b, uint64(len(out.CounterExample)))
 	for _, lit := range out.CounterExample {
-		b = appendString(b, lit)
+		b = tiercache.AppendString(b, lit)
 	}
-	b = appendString(b, out.TraceHash)
+	b = tiercache.AppendString(b, out.TraceHash)
 	var crt []byte
 	if out.Certificate != nil {
 		crt = cert.Encode(out.Certificate)
@@ -57,45 +65,39 @@ func encodeOutcome(out Outcome) []byte {
 // embedded-certificate decode failure is an error — the caller treats the
 // record as corrupt and evicts it.
 func decodeOutcome(data []byte) (Outcome, error) {
-	d := decoder{buf: data}
-	if string(d.take(len(outcomeMagic))) != outcomeMagic {
-		return Outcome{}, fmt.Errorf("bad outcome magic")
-	}
-	if v := d.byte(); v != outcomeVersion {
-		return Outcome{}, fmt.Errorf("stale outcome payload version %d", v)
+	d := tiercache.NewDecoder(data)
+	if err := d.Header(outcomeMagic, outcomeVersion); err != nil {
+		return Outcome{}, err
 	}
 	var out Outcome
-	out.Result = Result(d.uvarint())
-	out.Rounds = int(d.uvarint())
-	out.Instances = int(d.uvarint())
-	out.GroundClauses = int(d.uvarint())
-	out.Decisions = int(d.uvarint())
-	out.Reason = d.string()
-	n := d.uvarint()
+	out.Result = Result(d.Uvarint())
+	out.Rounds = int(d.Uvarint())
+	out.Instances = int(d.Uvarint())
+	out.GroundClauses = int(d.Uvarint())
+	out.Decisions = int(d.Uvarint())
+	out.Reason = d.String()
+	n := d.Uvarint()
 	if n > maxPersistList {
 		return Outcome{}, fmt.Errorf("counter-example list too long (%d)", n)
 	}
-	if n > 0 && d.err == nil {
+	if n > 0 && d.Err() == nil {
 		out.CounterExample = make([]string, 0, min(int(n), 256))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			out.CounterExample = append(out.CounterExample, d.string())
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			out.CounterExample = append(out.CounterExample, d.String())
 		}
 	}
-	out.TraceHash = d.string()
-	if clen := d.uvarint(); clen > 0 {
-		crt, err := cert.Decode(d.take(int(clen)))
+	out.TraceHash = d.String()
+	if clen := d.Uvarint(); clen > 0 {
+		crt, err := cert.Decode(d.Take(int(clen)))
 		if err != nil {
 			return Outcome{}, fmt.Errorf("embedded certificate: %w", err)
 		}
-		if d.err == nil {
+		if d.Err() == nil {
 			out.Certificate = crt
 		}
 	}
-	if d.err != nil {
-		return Outcome{}, d.err
-	}
-	if len(d.buf) != 0 {
-		return Outcome{}, fmt.Errorf("%d trailing bytes", len(d.buf))
+	if err := d.End(); err != nil {
+		return Outcome{}, err
 	}
 	switch out.Result {
 	case Valid, Unknown:
@@ -117,164 +119,27 @@ func decodeOutcome(data []byte) (Outcome, error) {
 	return out, nil
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// decoder is a cursor with sticky error state over a payload buffer.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated outcome payload")
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if n > uint64(len(d.buf)) {
-		d.fail()
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-// PeerFetch fetches the sealed cachedisk record for a cache key from the
-// peer tier, returning ok=false on miss (or when every peer is down — the
-// cache treats any failure as a miss and proves locally). The server package
-// supplies the HTTP implementation; the cache only sees the callback, so the
-// prover never imports the network.
-type PeerFetch func(key string) (sealed []byte, ok bool)
-
-// WithDisk attaches a disk tier: memory misses probe store, and every
-// memoized outcome is persisted to it. Must be called before the cache is
-// shared across goroutines. A nil store is a no-op.
-func (c *Cache) WithDisk(store *cachedisk.Store) *Cache {
-	c.disk = store
-	return c
-}
-
-// WithPeerFetch attaches a peer tier consulted after the disk tier misses.
-// Must be called before the cache is shared across goroutines.
-func (c *Cache) WithPeerFetch(fetch PeerFetch) *Cache {
-	c.peerFetch = fetch
-	return c
-}
-
-// DiskStats snapshots the attached disk store's counters (zero value when no
-// disk tier is attached).
-func (c *Cache) DiskStats() cachedisk.Stats {
-	return c.disk.Stats()
-}
-
-// externalGet probes the disk then the peer tier after a memory miss. Any
-// record that fails to decode is evicted at its source of truth (the disk
-// store) or rejected and counted (the peer tier); only verified outcomes are
-// admitted, and admitted outcomes are written through to memory (and, for
-// peer fetches, to disk) so the next lookup is a memory hit.
-func (c *Cache) externalGet(key string) (Outcome, bool) {
-	if payload, ok := c.disk.Get(key); ok {
-		out, err := decodeOutcome(payload)
-		if err != nil {
-			// Checksum-clean record, rotten payload (stale inner format or
-			// hostile bytes): self-heal exactly like disk-layer corruption.
-			c.disk.Delete(key)
-		} else {
-			c.noteExternal(func(s *CacheStats) { s.DiskHits++ })
-			c.putMemory(key, out)
-			return out, true
-		}
-	}
-	if c.peerFetch == nil {
-		return Outcome{}, false
-	}
-	sealed, ok := c.peerFetch(key)
-	if !ok {
-		return Outcome{}, false
-	}
-	out, err := verifyPeerOutcome(key, sealed)
-	if err != nil {
-		c.noteExternal(func(s *CacheStats) { s.PeerRejects++ })
-		return Outcome{}, false
-	}
-	c.noteExternal(func(s *CacheStats) { s.PeerHits++ })
-	c.putMemory(key, out)
-	c.disk.Put(key, encodeOutcome(out))
-	return out, true
-}
-
-// verifyPeerOutcome admits a peer-fetched sealed record only after the full
-// gauntlet: the record must unseal against the exact key we asked for
-// (checksum + embedded-key match), its payload must decode as a current,
-// non-transient outcome, and — the teeth — a Valid verdict must carry a
+// admitPeerOutcome is the prover namespace's peer admission check, run after
+// the record has unsealed against the exact key asked for and decoded as a
+// current, non-transient outcome. Its teeth: a Valid verdict must carry a
 // certificate that replays under cert.Verify and names this very goal. A
 // peer (or a man in the middle) can therefore cause extra work, never a
 // wrong Valid: the TCB for peer-sourced proofs is the replay checker.
-func verifyPeerOutcome(key string, sealed []byte) (Outcome, error) {
-	payload, err := cachedisk.Unseal(sealed, key)
-	if err != nil {
-		return Outcome{}, err
+func admitPeerOutcome(key string, out Outcome) error {
+	if out.Result != Valid {
+		return nil
 	}
-	out, err := decodeOutcome(payload)
-	if err != nil {
-		return Outcome{}, err
+	if out.Certificate == nil {
+		return fmt.Errorf("peer Valid without certificate")
 	}
-	if out.Result == Valid {
-		if out.Certificate == nil {
-			return Outcome{}, fmt.Errorf("peer Valid without certificate")
-		}
-		if err := cert.Verify(out.Certificate); err != nil {
-			return Outcome{}, fmt.Errorf("peer certificate replay: %w", err)
-		}
-		// The cache key is fingerprint + NUL + canonical goal (the
-		// fingerprint is hex, so the first NUL is the separator); the
-		// certificate must have been minted for that goal, not a different
-		// valid one.
-		if i := strings.IndexByte(key, 0); i < 0 || out.Certificate.Key != key[i+1:] {
-			return Outcome{}, fmt.Errorf("peer certificate key mismatch")
-		}
+	if err := cert.Verify(out.Certificate); err != nil {
+		return fmt.Errorf("peer certificate replay: %w", err)
 	}
-	return out, nil
-}
-
-// noteExternal bumps an external-tier counter under the cache lock.
-func (c *Cache) noteExternal(f func(*CacheStats)) {
-	c.mu.Lock()
-	f(&c.stats)
-	c.mu.Unlock()
+	// The cache key is fingerprint + NUL + canonical goal (the fingerprint
+	// is hex, so the first NUL is the separator); the certificate must have
+	// been minted for that goal, not a different valid one.
+	if i := strings.IndexByte(key, 0); i < 0 || out.Certificate.Key != key[i+1:] {
+		return fmt.Errorf("peer certificate key mismatch")
+	}
+	return nil
 }

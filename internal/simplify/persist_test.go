@@ -170,6 +170,9 @@ func TestCacheDiskTierPoisonedPayloadReproves(t *testing.T) {
 	if st := store2.Stats(); st.CorruptEvicted != 1 {
 		t.Fatalf("disk stats = %+v, want the poisoned record corrupt-evicted", st)
 	}
+	if st := cache2.Stats(); st.Rejected != 1 || st.Evictions != 0 {
+		t.Fatalf("cache stats = %+v, want the poisoned record counted Rejected, not evicted", st)
+	}
 	// The re-prove wrote a clean record back; a third cold start hits it.
 	store3, _ := cachedisk.Open(dir, 0)
 	p3 := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store3))
@@ -217,6 +220,9 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	}
 	if st := store2.Stats(); st.CorruptEvicted != 1 {
 		t.Fatalf("disk stats = %+v, want the stripped record evicted", st)
+	}
+	if st := cache2.Stats(); st.Rejected != 1 || st.Evictions != 0 {
+		t.Fatalf("cache stats = %+v, want the stripped record counted Rejected, not evicted", st)
 	}
 	// The re-prove healed the record: a cold third start serves a Valid that
 	// again carries its certificate.

@@ -310,14 +310,14 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	if p.cache != nil {
 		ck := logic.CanonicalString(goal)
 		key = p.fingerprint + "\x00" + ck
-		if out, ok := p.cache.get(key); ok {
+		if out, ok := p.cache.Get(key); ok {
 			// Replay-on-fetch: under EmitCertificates a cache-served Valid is
 			// trusted only when it carries a certificate that replays for
 			// this goal — regardless of which tier (memory, disk, peer)
 			// produced it. A fresh Valid in emit mode always embeds its
 			// certificate, so a cert-less Valid here can only be tampered or
 			// stale external bytes; it is rejected exactly like a failed
-			// replay (mirroring verifyPeerOutcome's peer gate), evicted from
+			// replay (mirroring admitPeerOutcome's peer gate), evicted from
 			// every tier, and re-proved.
 			trusted := true
 			if p.opts.EmitCertificates {
@@ -333,7 +333,7 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 				out.CacheHit = true
 				return out
 			}
-			p.cache.evict(key)
+			p.cache.Reject(key)
 		}
 	}
 	out := p.proveSafe(ctx, goal)
@@ -346,7 +346,7 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	// with per-request deadlines, so a verdict minted under a dying request
 	// must never be replayed for a healthy one.
 	if p.cache != nil && cacheable(out) && ctx.Err() == nil {
-		p.cache.put(key, out)
+		p.cache.Put(key, out)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,31 @@ func TestDaemonInotify(t *testing.T) {
 	g := h.nextGeneration(20 * time.Second)
 	if g.summary.num("files") != 2 || g.summary["status"] != "dirty" {
 		t.Fatalf("inotify generation: %v", g.summary)
+	}
+}
+
+// TestStatsEventCacheShape pins the external shape of the function-cache
+// counters in the stats event: the JSON keys of func_cache.
+func TestStatsEventCacheShape(t *testing.T) {
+	var out strings.Builder
+	d, err := New(t.TempDir(), quals.MustStandard(), Options{Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EmitStats()
+	var ev struct {
+		Cache map[string]any `json:"func_cache"`
+	}
+	if err := json.Unmarshal([]byte(out.String()), &ev); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(ev.Cache))
+	for k := range ev.Cache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	const want = "coalesced disk_hits evictions hits misses peer_hits peer_rejects rejected"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("func_cache keys = %q, want %q", got, want)
 	}
 }

@@ -30,7 +30,7 @@ run() {
 		cat "$tmp/err" >&2
 		exit 1
 	fi
-	grep -v '^function cache:\|^disk cache:\|^'"$tmp"'/corpus:' "$tmp/raw" >"$1" || true
+	grep -v '^function cache (memory):\|^disk cache:\|^'"$tmp"'/corpus:' "$tmp/raw" >"$1" || true
 	grep '^disk cache:' "$tmp/raw"
 }
 
