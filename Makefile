@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race loc bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke ci
+.PHONY: all build vet fmt-check test race loc bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke ci
 
 # Seconds of fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 30s
@@ -29,6 +29,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would reformat any Go file outside .bench_build/
+# (the benchmark's build cache), listing the offenders.
+GOFMT ?= gofmt
+fmt-check:
+	@out=$$($(GOFMT) -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -154,11 +161,12 @@ watch-smoke:
 persist-smoke:
 	sh scripts/persist_smoke.sh
 
-# ci is the gate: everything must build, vet clean, pass under -race, run
-# every benchmark for one smoke iteration, keep serial and parallel tree
-# checking byte-identical (and fast enough), survive a short fuzzing budget
-# on each fuzz target, replay every qualifier-suite certificate, serve one
-# checking request end to end, hold the serving contract under injected
-# faults, keep the watch daemon's incremental generations faithful to batch
-# checking, and keep the disk-backed caches crash-safe and self-healing.
-ci: build vet race bench-smoke tree-smoke fuzz-smoke cert-smoke serve-smoke chaos-smoke watch-smoke persist-smoke
+# ci is the gate: everything must build, vet clean, be gofmt-formatted, pass
+# under -race, run every benchmark for one smoke iteration, keep serial and
+# parallel tree checking byte-identical (and fast enough), survive a short
+# fuzzing budget on each fuzz target, replay every qualifier-suite
+# certificate, serve one checking request end to end, hold the serving
+# contract under injected faults, keep the watch daemon's incremental
+# generations faithful to batch checking, and keep the disk-backed caches
+# crash-safe and self-healing.
+ci: build vet fmt-check race bench-smoke tree-smoke fuzz-smoke cert-smoke serve-smoke chaos-smoke watch-smoke persist-smoke

@@ -50,7 +50,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print per-qualifier search statistics (decisions, instantiations, ...)")
 	certs := flag.Bool("cert", false, "emit a proof certificate per Valid verdict and verify it with the independent replay checker before trusting the result")
 	prefilter := flag.String("prefilter", "on", "cheap discharge tiers before the full engine: on|off (off is an escape hatch; verdicts are unchanged)")
-	learn := flag.String("learn", "on", "CDCL clause learning and cross-goal lemma sharing: on|off (off selects the chronological engine)")
 	trace := flag.String("trace", "", "write a per-obligation JSONL search trace to this file")
 	traceDeterministic := flag.Bool("trace-deterministic", false, "omit wall-clock fields from -trace records so identical runs produce byte-identical files")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -81,7 +80,6 @@ func main() {
 	opts.Prover.MaxMemoryBytes = *memBudget
 	opts.Prover.GoalTimeout = *timeout
 	opts.Prover.DisablePrefilter = offSwitch("prefilter", *prefilter)
-	opts.Prover.DisableLearning = offSwitch("learn", *learn)
 	opts.Prover.EmitCertificates = *certs
 	opts.Concurrency = *jobs
 	opts.TraceOmitTimings = *traceDeterministic

@@ -25,11 +25,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestQualserveSmoke starts qualserve on an ephemeral port, performs one
-// /check round-trip, sends SIGTERM, and requires a clean drained exit.
-func TestQualserveSmoke(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-drain", "5s")
+func qualserveChild(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "QUALSERVE_SMOKE_CHILD=1")
+	return cmd
+}
+
+// startQualserve starts the qualserve child on an ephemeral port, with env
+// added to its environment, and returns it with the address it announced.
+// A child still running at cleanup is killed.
+func startQualserve(t *testing.T, env []string, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := qualserveChild(append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(cmd.Env, env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -38,28 +46,49 @@ func TestQualserveSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
 	// The first stdout line announces the bound address.
 	sc := bufio.NewScanner(stdout)
 	addrCh := make(chan string, 1)
-	var tail []string
 	go func() {
 		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "qualserve listening on "); ok {
+			if rest, ok := strings.CutPrefix(sc.Text(), "qualserve listening on "); ok {
 				addrCh <- rest
-				continue
 			}
-			tail = append(tail, line)
 		}
 	}()
-	var addr string
 	select {
-	case addr = <-addrCh:
+	case addr := <-addrCh:
+		return cmd, addr
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for the listening announcement")
 	}
+	return nil, ""
+}
+
+// stopQualserve sends SIGTERM and requires a clean drained exit.
+func stopQualserve(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("qualserve exited non-zero after SIGTERM: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("qualserve did not exit within 15s of SIGTERM")
+	}
+}
+
+// TestQualserveSmoke starts qualserve on an ephemeral port, performs one
+// /check round-trip, sends SIGTERM, and requires a clean drained exit.
+func TestQualserveSmoke(t *testing.T) {
+	cmd, addr := startQualserve(t, nil, "-drain", "5s")
 
 	body, _ := json.Marshal(map[string]any{
 		"filename": "smoke.c",
@@ -83,17 +112,5 @@ func TestQualserveSmoke(t *testing.T) {
 		t.Fatalf("smoke program reported %d warnings, want 0", checkResp.Warnings)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("qualserve exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("qualserve did not exit within 15s of SIGTERM")
-	}
+	stopQualserve(t, cmd)
 }

@@ -24,6 +24,7 @@
 package scheduler
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -154,10 +155,13 @@ type Pool struct {
 	parks         atomic.Uint64
 }
 
-// New starts a pool with the given worker count (values < 1 are clamped to
-// 1) and victim-selection seed. The same seed gives every worker the same
-// probe sequence across runs.
+// New starts a pool with the given worker count (values < 1 mean
+// runtime.GOMAXPROCS(0)) and victim-selection seed. The same seed gives
+// every worker the same probe sequence across runs.
 func New(workers int, seed uint64) *Pool {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	p := newPool(workers, seed)
 	for i := range p.workers {
 		p.wg.Add(1)
@@ -169,9 +173,6 @@ func New(workers int, seed uint64) *Pool {
 // newPool builds the pool state without starting workers (tests probe the
 // deterministic victim sequence on a cold pool).
 func newPool(workers int, seed uint64) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
 	p := &Pool{workers: make([]*worker, workers)}
 	p.cond = sync.NewCond(&p.parkMu)
 	for i := range p.workers {

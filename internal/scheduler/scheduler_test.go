@@ -43,6 +43,21 @@ func TestAllTasksRun(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkersIsGOMAXPROCS: a worker count below 1 means one worker
+// per GOMAXPROCS, the "all cores" default that -j 0 documents.
+func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	leak.Check(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, workers := range []int{0, -1} {
+		p := New(workers, 1)
+		got := p.Stats().Workers
+		p.Close()
+		if got != 3 {
+			t.Errorf("New(%d) with GOMAXPROCS=3: %d workers, want 3", workers, got)
+		}
+	}
+}
+
 // TestSpawnLIFOStealFIFO checks the deque discipline with one worker: the
 // owner pops its own spawns newest-first, while a steal takes the oldest.
 func TestSpawnLIFOStealFIFO(t *testing.T) {

@@ -40,17 +40,14 @@ func unsatAxioms() []logic.Formula {
 }
 
 // TestCertificateCorpusReplay runs the fixed-seed 10k differential corpus
-// through the three certificate-emitting configurations — CDCL with the
-// prefilter and a live cache, CDCL alone, and the chronological engine —
-// with the legacy engine as the verdict oracle. Every Valid must carry a
+// through the two certificate-emitting configurations — CDCL with the
+// prefilter and a live cache, and CDCL alone. Every Valid must carry a
 // certificate the replay checker accepts (the engine already self-checked
 // it; this re-replays independently, plus a serialization round-trip on a
-// sample), and emission must never flip a verdict.
+// sample), and emission must never flip a verdict: each configuration's
+// verdict vector must match the golden record.
 func TestCertificateCorpusReplay(t *testing.T) {
-	n := 10000
-	if testing.Short() {
-		n = 1500
-	}
+	corpus := groundCorpus(groundCorpusSize())
 	mk := func(mut func(*Options)) *Prover {
 		opts := certOptions()
 		if mut != nil {
@@ -64,26 +61,13 @@ func TestCertificateCorpusReplay(t *testing.T) {
 	}{
 		{"cdcl+prefilter+cache", mk(nil).WithCache(NewCache(0))},
 		{"cdcl", mk(func(o *Options) { o.DisablePrefilter = true })},
-		{"chrono", mk(func(o *Options) { o.DisableLearning = true; o.DisablePrefilter = true })},
 	}
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
 
 	before := GlobalCertCounters()
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
-	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		lo := legacy.Prove(f)
-		for _, eng := range engines {
-			out := eng.p.Prove(f)
-			if out.Result != lo.Result {
-				t.Fatalf("%s: corpus %d: verdict %v (%q) vs legacy %v (%q)\n  formula: %s",
-					eng.name, i, out.Result, out.Reason, lo.Result, lo.Reason, f)
-			}
+	for _, eng := range engines {
+		vec := groundVerdicts(t, eng.p, corpus, func(i int, f logic.Formula, out Outcome) {
 			if out.Result != Valid {
-				continue
+				return
 			}
 			if out.Certificate == nil {
 				t.Fatalf("%s: corpus %d: Valid without a certificate (%q)", eng.name, i, out.Reason)
@@ -100,19 +84,13 @@ func TestCertificateCorpusReplay(t *testing.T) {
 					t.Fatalf("%s: corpus %d: round-tripped replay rejected: %v", eng.name, i, err)
 				}
 			}
-		}
-		if lo.Result == Valid {
-			valid++
-		}
+		})
+		checkGroundGolden(t, vec)
 	}
 	if after := GlobalCertCounters(); after.Rejected != before.Rejected {
 		t.Fatalf("corpus emission rejected %d certificates, want 0", after.Rejected-before.Rejected)
 	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the replay check lost its teeth", valid, n, floor)
-	}
-	t.Logf("certificate corpus: %d formulas, %d Valid, all certificates replayed on %d engines", n, valid, len(engines))
+	t.Logf("certificate corpus: %d formulas, all certificates replayed on %d engines", len(corpus), len(engines))
 }
 
 // TestCertRejectGatesLemmaPool: a rejected certificate (injected replay

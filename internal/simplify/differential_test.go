@@ -321,77 +321,29 @@ func checkAgainstOracle(t *testing.T, prover *Prover, f logic.Formula) bool {
 
 // TestDifferentialProveGround runs the fixed-seed corpus: 10k random ground
 // formulas, every Valid verdict checked against the oracle, plus a sampling
-// floor asserting the corpus actually exercises the Valid path.
+// floor asserting the corpus actually exercises the Valid path, and the
+// whole verdict vector checked against the golden record.
 func TestDifferentialProveGround(t *testing.T) {
-	n := 10000
-	if testing.Short() {
-		n = 2000
-	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
+	corpus := groundCorpus(groundCorpusSize())
 	prover := diffProver()
+	vec := make([]byte, len(corpus))
 	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
+	for i, f := range corpus {
+		vec[i] = 'U'
 		if checkAgainstOracle(t, prover, f) {
+			vec[i] = 'V'
 			valid++
 		}
 	}
 	// The generator is biased toward tautological shapes; if the prover
 	// stopped proving them, the differential check would be vacuous.
+	n := len(corpus)
 	floor := n / 10
 	if valid < floor {
 		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
 	}
+	checkGroundGolden(t, vec)
 	t.Logf("differential corpus: %d/%d Valid, zero discrepancies", valid, n)
-}
-
-// TestDifferentialNewVsLegacySearch runs the same fixed-seed corpus through
-// both search engines — the interned watched-literal engine (the default) and
-// the legacy recursive map-based engine kept behind Options.LegacySearch —
-// and requires verdict-for-verdict agreement. Zero discrepancies is an
-// acceptance criterion for the incremental engine: the legacy search is its
-// differential oracle.
-func TestDifferentialNewVsLegacySearch(t *testing.T) {
-	n := 10000
-	if testing.Short() {
-		n = 2000
-	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
-	interned := New(nil, DefaultOptions())
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
-	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		a := interned.Prove(f)
-		b := legacy.Prove(f)
-		if a.Result != b.Result {
-			t.Fatalf("search engines disagree on corpus formula %d:\n  formula: %s\n  interned=%v (%s)  legacy=%v (%s)",
-				i, f, a.Result, a.Reason, b.Result, b.Reason)
-		}
-		if a.Result == Valid {
-			valid++
-		}
-	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
-	}
-	t.Logf("engine differential: %d formulas, %d Valid on both engines, zero discrepancies", n, valid)
-}
-
-// TestLegacySearchInFingerprint: the search engine participates in the cache
-// fingerprint, so memoized outcomes can never cross between the interned and
-// legacy engines.
-func TestLegacySearchInFingerprint(t *testing.T) {
-	interned := New(nil, DefaultOptions())
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
-	if interned.fingerprint == legacy.fingerprint {
-		t.Fatalf("LegacySearch does not alter the cache fingerprint; cached outcomes could cross engines")
-	}
 }
 
 // litFormula converts one ground literal back to a formula for the oracle.
@@ -415,52 +367,6 @@ func clauseFormula(c logic.Clause) logic.Formula {
 		fs[i] = litFormula(l)
 	}
 	return logic.Or{Fs: fs}
-}
-
-// TestDifferentialThreeEngines runs the fixed-seed corpus through all three
-// engines at once — CDCL (the default, here with a cache attached so
-// cross-goal lemma sharing is live), the chronological trail engine
-// (DisableLearning), and the legacy recursive engine — and requires
-// verdict-for-verdict agreement, with every CDCL Valid double-checked
-// against the bounded-model oracle. Lemmas imported from earlier corpus
-// formulas must never flip a verdict: they are implied by the (empty) axiom
-// base, so they may only prune search.
-func TestDifferentialThreeEngines(t *testing.T) {
-	n := 10000
-	if testing.Short() {
-		n = 2000
-	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
-	cdcl := New(nil, DefaultOptions()).WithCache(NewCache(0))
-	chronoOpts := DefaultOptions()
-	chronoOpts.DisableLearning = true
-	chrono := New(nil, chronoOpts)
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
-	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		a := cdcl.Prove(f)
-		b := chrono.Prove(f)
-		c := legacy.Prove(f)
-		if a.Result != b.Result || a.Result != c.Result {
-			t.Fatalf("engines disagree on corpus formula %d:\n  formula: %s\n  cdcl=%v (%s)  chrono=%v (%s)  legacy=%v (%s)",
-				i, f, a.Result, a.Reason, b.Result, b.Reason, c.Result, c.Reason)
-		}
-		if a.Result == Valid {
-			valid++
-			if cm := findCounterModel(f); cm != nil {
-				t.Fatalf("cdcl unsound: claimed Valid but counter-model exists\n  formula: %s\n  consts: %v  f-table: %v  P-table: %v",
-					f, cm.consts, cm.fTable, cm.pTable)
-			}
-		}
-	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
-	}
-	t.Logf("three-engine differential: %d formulas, %d Valid on all engines, zero discrepancies", n, valid)
 }
 
 // TestCDCLDeterministicTrace: two runs of the CDCL engine over the same

@@ -6,133 +6,18 @@ import (
 	"repro/internal/logic"
 )
 
-// This file implements trigger-based instantiation (e-matching) of
-// quantified clauses against the prover's ground term bank.
-
-// termBank is the set of ground terms (including all subterms) seen so far,
-// deduplicated by printed form.
-type termBank struct {
-	terms []logic.Term
-	seen  map[string]bool
-}
-
-func newTermBank() *termBank {
-	return &termBank{seen: map[string]bool{}}
-}
-
-// add inserts t and all its subterms.
-func (b *termBank) add(t logic.Term) {
-	key := t.String()
-	if b.seen[key] {
-		return
-	}
-	b.seen[key] = true
-	b.terms = append(b.terms, t)
-	if app, ok := t.(logic.App); ok {
-		for _, a := range app.Args {
-			b.add(a)
-		}
-	}
-}
+// This file holds the trigger machinery shared by clausification and
+// e-matching: the predicate-as-term encoding and trigger inference. The
+// matcher itself is match2.go.
 
 // predTermFn is the function-symbol prefix used to encode predicate atoms
 // as terms, so that predicate applications can serve as triggers and match
-// against the bank (mirroring the e-graph's encoding).
+// against the term bank (the e-graph uses the same encoding).
 const predTermFn = "@pred$"
 
 // predAsTerm encodes a predicate atom as a term.
 func predAsTerm(p logic.Pred) logic.Term {
 	return logic.App{Fn: predTermFn + p.Name, Args: p.Args}
-}
-
-// addLiteral inserts the terms of a ground literal. Predicate atoms are
-// inserted in their term encoding so predicate-based triggers can match.
-func (b *termBank) addLiteral(l logic.Literal) {
-	if l.IsCmp {
-		b.add(l.Cmp.L)
-		b.add(l.Cmp.R)
-		return
-	}
-	b.add(predAsTerm(l.Pred))
-}
-
-// matchTerm attempts to match pattern against ground term t, extending sub.
-// It returns the extended substitutions (zero or one here; the slice form
-// keeps the interface uniform with multi-pattern joins).
-func matchTerm(pattern, t logic.Term, sub map[string]logic.Term) (map[string]logic.Term, bool) {
-	switch p := pattern.(type) {
-	case logic.Var:
-		if bound, ok := sub[p.Name]; ok {
-			if logic.TermEqual(bound, t) {
-				return sub, true
-			}
-			return nil, false
-		}
-		ext := make(map[string]logic.Term, len(sub)+1)
-		for k, v := range sub {
-			ext[k] = v
-		}
-		ext[p.Name] = t
-		return ext, true
-	case logic.IntLit:
-		if lit, ok := t.(logic.IntLit); ok && lit.Value == p.Value {
-			return sub, true
-		}
-		return nil, false
-	case logic.App:
-		app, ok := t.(logic.App)
-		if !ok || app.Fn != p.Fn || len(app.Args) != len(p.Args) {
-			return nil, false
-		}
-		cur := sub
-		for i := range p.Args {
-			next, ok := matchTerm(p.Args[i], app.Args[i], cur)
-			if !ok {
-				return nil, false
-			}
-			cur = next
-		}
-		return cur, true
-	}
-	return nil, false
-}
-
-// matchPattern returns all substitutions matching one pattern term against
-// the bank. A tripped ticker truncates the scan (the caller observes the
-// trip and abandons the round, so partial results are never acted on).
-func matchPattern(pattern logic.Term, bank *termBank, base map[string]logic.Term, tk *ticker) []map[string]logic.Term {
-	var out []map[string]logic.Term
-	for _, t := range bank.terms {
-		if tk.stop() {
-			return out
-		}
-		if sub, ok := matchTerm(pattern, t, base); ok {
-			out = append(out, sub)
-		}
-	}
-	return out
-}
-
-// matchTrigger matches a multi-pattern trigger (all patterns must match,
-// sharing variable bindings) against the bank. Multi-pattern joins are the
-// matcher's combinatorial hot spot, so the goal's deadline is observed per
-// candidate substitution.
-func matchTrigger(trigger []logic.Term, bank *termBank, tk *ticker) []map[string]logic.Term {
-	subs := []map[string]logic.Term{{}}
-	for _, pat := range trigger {
-		var next []map[string]logic.Term
-		for _, base := range subs {
-			if tk.stop() {
-				return next
-			}
-			next = append(next, matchPattern(pat, bank, base, tk)...)
-		}
-		subs = next
-		if len(subs) == 0 {
-			return nil
-		}
-	}
-	return subs
 }
 
 // inferTriggers selects trigger patterns for a quantified clause that has no

@@ -4,19 +4,18 @@ import (
 	"repro/internal/logic"
 )
 
-// This file is the interned counterpart of match.go: the ground term bank is
-// deduplicated by TermID (an O(1) slice probe instead of re-printing every
-// candidate term) and indexed by head symbol, so matching a pattern headed
-// by f scans only the f-terms instead of the whole bank. The bank persists
+// This file implements trigger-based instantiation (e-matching) of
+// quantified clauses against the ground term bank. The bank is deduplicated
+// by TermID (an O(1) slice probe) and indexed by head symbol, so matching a
+// pattern headed by f scans only the f-terms instead of the whole bank. The bank persists
 // across instantiation rounds; addClause catches it up on newly added
 // clauses only.
 
 type bank2 struct {
 	tt *logic.TermTable
 	// byHead indexes application terms by function symbol, in insertion
-	// order (a subsequence of the legacy bank's scan order, which is what
-	// keeps the produced substitution order aligned with the legacy
-	// matcher: only same-head terms can match an application pattern).
+	// order, which keeps the produced substitution order deterministic
+	// (only same-head terms can match an application pattern).
 	byHead map[string][]logic.TermID
 	// seen is indexed by TermID (grown on demand).
 	seen []bool
@@ -58,8 +57,7 @@ func (b *bank2) addLit(l ilit, at *atomTable) {
 }
 
 // matchTermID matches pattern against interned ground term t, extending sub.
-// Bound-variable consistency is an integer compare (the legacy matcher
-// re-walked both terms structurally).
+// Bound-variable consistency is an integer compare.
 func matchTermID(pattern logic.Term, t logic.TermID, sub map[string]logic.TermID, tt *logic.TermTable) (map[string]logic.TermID, bool) {
 	switch p := pattern.(type) {
 	case logic.Var:

@@ -314,9 +314,10 @@ func intervalConflict(db *clauseDB, assign []int8, tk *ticker) bool {
 			addLe(newLinExprI().add(diff, -1), -1)
 		case logic.NeOp:
 			// t != t on the hash-consed same term: refuted outright. (Only
-			// the syntactic case — a zero *linearized* difference between
-			// distinct terms, like b vs b-0, would out-prove the legacy
-			// differential oracle.)
+			// the syntactic case. A zero *linearized* difference between
+			// distinct terms, like b vs b-0, is left to the search; whether
+			// the prefilter could take it over without changing a verdict
+			// is an open question.)
 			if k.l == k.r {
 				conflict = true
 				break

@@ -123,10 +123,30 @@ func TestPrefilterInFingerprint(t *testing.T) {
 	if on.fingerprint == off.fingerprint {
 		t.Fatal("DisablePrefilter does not alter the cache fingerprint")
 	}
-	learnOpts := DefaultOptions()
-	learnOpts.DisableLearning = true
-	if New(nil, learnOpts).fingerprint == on.fingerprint {
-		t.Fatal("DisableLearning does not alter the cache fingerprint")
+}
+
+// TestFingerprintBytesStable pins the cache fingerprint of three option and
+// axiom sets to the bytes the three-engine prover wrote, whose format still
+// carries legacy=false|learn=true. Outcomes persisted to disk or served by
+// a peer are keyed by it, so any drift would turn every stored record into
+// a miss.
+func TestFingerprintBytesStable(t *testing.T) {
+	withCert := DefaultOptions()
+	withCert.EmitCertificates = true
+	withCert.DisablePrefilter = true
+	withCert.MaxTerms = 7
+	for _, tc := range []struct {
+		name string
+		p    *Prover
+		want string
+	}{
+		{"default", New(nil, DefaultOptions()), "17b25eeaf563f5196b3f203d81a5bfae1e8228df8b4553c30bde62d1791183f7"},
+		{"cert, no prefilter, 7 terms", New(nil, withCert), "2b0536368b847d14bfaa253fcb9e5b50aee7464d5577030a67ac5b1b109a066e"},
+		{"sign axioms", New(MulSignAxioms(), DefaultOptions()), "69bdce56fd3bf5697189d4f668b85d541a39ff94e7422159475f370a06feb1a6"},
+	} {
+		if tc.p.fingerprint != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, tc.p.fingerprint, tc.want)
+		}
 	}
 }
 

@@ -191,7 +191,7 @@ func TestProverSoundnessProperty(t *testing.T) {
 	}
 }
 
-// TestArithSoundnessProperty: if Fourier-Motzkin reports inconsistent, no
+// TestArithSoundnessProperty: if Fourier-Motzkin reports infeasible, no
 // sampled small-integer assignment satisfies all constraints.
 func TestArithSoundnessProperty(t *testing.T) {
 	gen := &groundGen{}
@@ -203,16 +203,16 @@ func TestArithSoundnessProperty(t *testing.T) {
 			l, r logic.Term
 		}
 		var cons []constraint
-		solver := newArithSolver()
+		solver := newArithSolver2(logic.NewTermTable())
 		for i := 0; i < 4; i++ {
 			ops := []logic.CmpOp{logic.LeOp, logic.LtOp, logic.GeOp, logic.GtOp, logic.EqOp}
 			op := ops[gen.next(&s)%int64(len(ops))]
 			l := gen.term(&s, 1)
 			r := gen.term(&s, 1)
 			cons = append(cons, constraint{op, l, r})
-			solver.assertCmp(op, l, r)
+			assertTerms(solver, op, l, r)
 		}
-		if !solver.inconsistent() {
+		if !solver.infeasible(nil) {
 			return true
 		}
 		// Claimed infeasible: exhaustively try small assignments.
@@ -249,7 +249,7 @@ func TestEgraphSoundnessProperty(t *testing.T) {
 	gen := &groundGen{}
 	check := func(seed int64) bool {
 		s := seed
-		e := newEgraph()
+		e := newEgTest()
 		consts := []logic.Term{logic.Const("a"), logic.Const("b"), logic.Const("c"), logic.Const("d")}
 		// Assert random equalities between f-wrapped constants.
 		type eqn struct{ l, r logic.Term }
@@ -324,7 +324,8 @@ func TestEgraphSoundnessProperty(t *testing.T) {
 	}
 }
 
-// TestLinearizeSemanticsProperty: linearize preserves meaning — the linear
+// TestLinearizeSemanticsProperty: the solver's memoised linearisation
+// preserves meaning — the linear
 // form evaluates to the same value as the original term under random
 // assignments (checked on linear-only terms).
 func TestLinearizeSemanticsProperty(t *testing.T) {
@@ -354,7 +355,8 @@ func TestLinearizeSemanticsProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		s := seed
 		tm := linTerm(&s, 3)
-		le := linearize(tm)
+		solver := newArithSolver2(logic.NewTermTable())
+		le := linOf(t, solver, tm)
 		for i := int64(0); i < 10; i++ {
 			ms := seed + i*104729
 			m := model{consts: map[string]int64{}}
@@ -364,10 +366,10 @@ func TestLinearizeSemanticsProperty(t *testing.T) {
 			want := m.evalTerm(tm)
 			got := le.consts
 			for atom, coeff := range le.coeffs {
-				got += coeff * m.consts[atom]
+				got += coeff * m.evalTerm(solver.tt.Term(atom))
 			}
 			if got != want {
-				t.Logf("linearize(%s) = %s; eval mismatch %d != %d under %v", tm, le, got, want, m.consts)
+				t.Logf("linearize(%s) = %v; eval mismatch %d != %d under %v", tm, le, got, want, m.consts)
 				return false
 			}
 		}

@@ -6,10 +6,11 @@ import (
 	"repro/internal/logic"
 )
 
-// This file is the interned prover's outer loop: the same round structure as
-// the legacy prove (trichotomy splits, refutation search, e-matching
-// saturation), but over the hash-consed clause database. Clause and
-// trichotomy dedup are integer-keyed, the term bank persists across rounds
+// This file is the prover's outer loop over the hash-consed clause database.
+// Each round adds trichotomy splits, runs the refutation search, and, when
+// the search finds a countermodel, saturates the quantified clauses by
+// e-matching before the next round. Clause and trichotomy dedup are
+// integer-keyed, the term bank persists across rounds
 // (catching up on newly added clauses only), and the theory solvers are
 // created once per goal and rewound to their base marks between rounds.
 //
@@ -125,9 +126,8 @@ func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]boo
 	return added
 }
 
-// prove2 runs one refutation search with the interned engine over a private
-// clause database seeded from the clausified axiom base plus the negated
-// goal. The round structure matches the legacy prove.
+// prove2 runs one refutation search over a private clause database seeded
+// from the clausified axiom base plus the negated goal.
 func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	sk := p.baseSk.Clone()
 	quant := make([]logic.Clause, len(p.baseQuant), len(p.baseQuant)+16)
@@ -237,10 +237,10 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	seenTri := map[[2]logic.TermID]bool{}
 
 	// Lemma plumbing: pull the fingerprint pool's shared lemmas (when a
-	// cache is attached and learning is on), carry the learned arena across
-	// rounds, and publish the untainted survivors on a settled outcome.
+	// cache is attached), carry the learned arena across rounds, and
+	// publish the untainted survivors on a settled outcome.
 	var pool *lemmaPool
-	if p.cache != nil && !p.opts.DisableLearning {
+	if p.cache != nil {
 		pool = p.cache.lemmaPoolFor(p.fingerprint)
 	}
 	var carryCl [][]ilit
@@ -326,7 +326,6 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			s.releaseScratch() // the superseded round's arrays feed this one
 		}
 		s = newSearch2(tt, at, db.clauses, db.taint, eg, ar, p.opts.MaxDecisions, tk)
-		s.noLearn = p.opts.DisableLearning
 		s.cb = cb
 		for i, cl := range carryCl {
 			s.importLearned(cl, carryTaint[i], carryAct[i])
